@@ -1,21 +1,15 @@
 //! Load generation against an in-process [`Engine`]: a closed loop that
-//! keeps a fixed number of requests outstanding, and an open loop that
-//! submits on a seeded Poisson schedule. Both cover whole passes over the
+//! keeps a fixed number of requests outstanding over whole passes of the
 //! question list, so every percentile is taken over the same mix.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 use valuenet_serve::{Engine, ErrorKind, Response, TranslateJob, Translated};
 
-use crate::host::{process_cpu_s, CpuTicks};
+use crate::host::{process_cpu_s, status_mb, CpuTicks};
 use crate::Question;
-
-/// How long the collector blocks on the oldest outstanding reply before it
-/// scans the others again. A reply that overtakes the oldest one is stamped
-/// at most this late.
-const POLL: Duration = Duration::from_micros(200);
 
 /// SplitMix64: the benchmark's only source of randomness, seeded from
 /// `--seed`.
@@ -32,11 +26,6 @@ impl Rng {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// A uniformly random order of `0..n` (one pass over the question
@@ -81,15 +70,12 @@ pub struct Served {
     pub first: Vec<Option<Response>>,
     /// Answers that differed from the first answer to the same question.
     pub repeat_mismatches: u64,
-    /// Wall time from the first submission (or first due time) to the last
-    /// answer.
+    /// Replies that arrived while an older request was still outstanding.
+    pub overtaken: u64,
+    /// Wall time from the first submission to the last answer.
     pub span_s: f64,
-    /// Process CPU time over the same interval.
-    pub cpu_s: f64,
     /// Hypervisor steal as a share of machine busy time over the interval.
     pub steal_share: f64,
-    /// How late the open-loop generator submitted each request, ms.
-    pub lateness_ms: Vec<f64>,
     t0: Instant,
     /// Answers per window.
     window: usize,
@@ -109,10 +95,9 @@ impl Served {
             queue_wait_ms: Vec::new(),
             first: vec![None; questions],
             repeat_mismatches: 0,
+            overtaken: 0,
             span_s: 0.0,
-            cpu_s: 0.0,
             steal_share: 0.0,
-            lateness_ms: Vec::new(),
         };
         served.mark();
         served
@@ -123,13 +108,13 @@ impl Served {
             t: self.t0.elapsed().as_secs_f64(),
             cpu_s: process_cpu_s(),
             ticks: CpuTicks::now(),
+            rss_mb: status_mb("VmRSS"),
         });
     }
 
     /// Closes the timed phase.
     fn finish(&mut self) {
         self.span_s = self.t0.elapsed().as_secs_f64();
-        self.cpu_s = process_cpu_s() - self.marks[0].cpu_s;
         self.steal_share = CpuTicks::now().steal_share_since(&self.marks[0].ticks);
     }
 
@@ -137,26 +122,23 @@ impl Served {
         self.attempted - self.failed
     }
 
-    /// Readings over each run of `per` consecutive windows of `window`
-    /// answers (whole passes over the question list, so every window serves
-    /// the same mix).
-    pub fn windows(&self, per: usize) -> Vec<Window> {
-        let per = per.max(1);
-        let complete = self.marks.len() - 1;
-        (0..complete / per)
-            .map(|j| {
-                let (m0, m1) = (&self.marks[j * per], &self.marks[(j + 1) * per]);
-                let mut lat =
-                    self.latencies_ms[j * per * self.window..(j + 1) * per * self.window].to_vec();
-                lat.sort_by(f64::total_cmp);
-                let n = lat.len() as f64;
-                Window {
-                    rate: n / (m1.t - m0.t),
-                    p50_ms: percentile(&lat, 0.50),
-                    p99_ms: percentile(&lat, 0.99),
-                    cpu_ms_per_req: (m1.cpu_s - m0.cpu_s) * 1e3 / n,
-                    steal: m1.ticks.steal_share_since(&m0.ticks),
-                }
+    /// The largest resident set sampled at the window marks, MiB.
+    pub fn peak_rss_mb(&self) -> f64 {
+        self.marks.iter().map(|m| m.rss_mb).fold(0.0, f64::max)
+    }
+
+    /// Readings over each window of `window` answers (whole passes over the
+    /// question list, so every window serves the same mix).
+    pub fn windows(&self) -> Vec<Window<'_>> {
+        self.marks
+            .windows(2)
+            .enumerate()
+            .map(|(j, m)| Window {
+                answers: self.window,
+                secs: m[1].t - m[0].t,
+                cpu_s: m[1].cpu_s - m[0].cpu_s,
+                steal: m[1].ticks.steal_share_since(&m[0].ticks),
+                latencies_ms: &self.latencies_ms[j * self.window..(j + 1) * self.window],
             })
             .collect()
     }
@@ -197,28 +179,50 @@ struct Mark {
     /// Process CPU seconds.
     cpu_s: f64,
     ticks: CpuTicks,
+    /// Resident set, MiB.
+    rss_mb: f64,
 }
 
-/// Readings over a stretch of a timed phase.
-pub struct Window {
+/// Readings over one window of a timed phase.
+pub struct Window<'a> {
+    pub answers: usize,
+    pub secs: f64,
+    /// Process CPU seconds.
+    pub cpu_s: f64,
+    /// Hypervisor steal as a share of machine busy time.
+    pub steal: f64,
+    pub latencies_ms: &'a [f64],
+}
+
+/// Figures over the windows of a timed phase.
+pub struct Figures {
     /// Answers per second.
-    pub rate: f64,
+    pub qps: f64,
     pub p50_ms: f64,
     pub p99_ms: f64,
     pub cpu_ms_per_req: f64,
-    /// Hypervisor steal as a share of machine busy time.
-    pub steal: f64,
 }
 
-/// The quarter of `windows` (rounded up) with the least hypervisor steal.
-/// Summarised by their median, a metric then reads what the program does in
-/// the least disturbed stretches of the run, not what other tenants of the
-/// host were doing.
-pub fn quietest_quarter(windows: &[Window]) -> Vec<&Window> {
-    let mut w: Vec<&Window> = windows.iter().collect();
-    w.sort_by(|a, b| a.steal.total_cmp(&b.steal));
-    w.truncate(windows.len().div_ceil(4));
-    w
+/// Pools `windows`. With `unstolen`, each window's time (its length, and
+/// each latency in it) is scaled by the share of the host's busy time that
+/// was not stolen by the hypervisor in that window, so the figures read
+/// what the program does per second of CPU the host actually gave it.
+pub fn figures(windows: &[Window], unstolen: bool) -> Figures {
+    let keep = |w: &Window| if unstolen { 1.0 - w.steal } else { 1.0 };
+    let answers: usize = windows.iter().map(|w| w.answers).sum();
+    let secs: f64 = windows.iter().map(|w| w.secs * keep(w)).sum();
+    let cpu_s: f64 = windows.iter().map(|w| w.cpu_s).sum();
+    let mut lat: Vec<f64> = windows
+        .iter()
+        .flat_map(|w| w.latencies_ms.iter().map(move |l| l * keep(w)))
+        .collect();
+    lat.sort_by(f64::total_cmp);
+    Figures {
+        qps: answers as f64 / secs,
+        p50_ms: percentile(&lat, 0.50),
+        p99_ms: percentile(&lat, 0.99),
+        cpu_ms_per_req: cpu_s * 1e3 / answers.max(1) as f64,
+    }
 }
 
 /// Whether two answers carry the same translation (timing and trace fields
@@ -262,6 +266,10 @@ fn submit(engine: &Engine, question: &Question, seq: u64) -> Option<Receiver<Res
 struct Collector {
     pending: VecDeque<Pending>,
     served: Served,
+    /// How long to block on the oldest outstanding reply before scanning
+    /// the others again. A reply that overtakes the oldest one is stamped
+    /// at most this late.
+    wait: Duration,
 }
 
 impl Collector {
@@ -274,6 +282,9 @@ impl Collector {
                 Ok(resp) => {
                     let done = Instant::now();
                     let p = self.pending.remove(i).expect("index in range");
+                    if i > 0 {
+                        self.served.overtaken += 1;
+                    }
                     self.served.record(p.q, p.start, done, resp);
                     taken += 1;
                 }
@@ -293,7 +304,7 @@ impl Collector {
         if self.take_ready() > 0 || self.pending.is_empty() {
             return;
         }
-        match self.pending[0].rx.recv_timeout(POLL) {
+        match self.pending[0].rx.recv_timeout(self.wait) {
             Ok(resp) => {
                 let done = Instant::now();
                 let p = self.pending.pop_front().expect("non-empty");
@@ -311,13 +322,17 @@ impl Collector {
 
 /// Closed loop from one thread: keeps `outstanding` requests in flight and
 /// starts another whole pass over the questions, each in a fresh seeded
-/// order, until `min_s` seconds have passed or `max_passes` passes were made. `window` answers make one measurement
-/// window.
+/// order, until `min_s` seconds have passed or `max_passes` passes were
+/// made. `window` answers make one measurement window; `wait` is how long
+/// the thread blocks on the oldest outstanding reply before it looks at the
+/// others.
+#[allow(clippy::too_many_arguments)]
 pub fn closed_loop(
     engine: &Engine,
     questions: &[Question],
     rng: &mut Rng,
     outstanding: usize,
+    wait: Duration,
     min_s: f64,
     max_passes: usize,
     window: usize,
@@ -326,6 +341,7 @@ pub fn closed_loop(
     let mut c = Collector {
         pending: VecDeque::new(),
         served: Served::new(questions.len(), t0, window),
+        wait,
     };
     let n = questions.len();
     let mut order = rng.pass(n);
@@ -355,106 +371,5 @@ pub fn closed_loop(
         c.poll();
     }
     c.served.finish();
-    c.served
-}
-
-/// Open loop: one generator thread submits `passes` whole passes over the
-/// questions (each in a fresh seeded order) at seeded Poisson arrival times
-/// averaging `rate` per second; this thread collects. Latency runs from each
-/// request's due time. `window` answers make one measurement window.
-pub fn open_loop(
-    engine: &Engine,
-    questions: &[Question],
-    rng: &mut Rng,
-    rate: f64,
-    passes: usize,
-    window: usize,
-) -> Served {
-    let order: Vec<usize> = (0..passes)
-        .flat_map(|_| rng.pass(questions.len()))
-        .collect();
-    let n = order.len();
-    let mut t = 0.0;
-    let arrivals: Vec<f64> = (0..n)
-        .map(|_| {
-            t += -(1.0 - rng.unit()).ln() / rate;
-            t
-        })
-        .collect();
-    // Scale the schedule so the last arrival is due at exactly n / rate:
-    // every run offers the same number of requests over the same time.
-    let scale = n as f64 / rate / t;
-    let due: Vec<Duration> = arrivals
-        .iter()
-        .map(|g| Duration::from_secs_f64(g * scale))
-        .collect();
-    let t0 = Instant::now();
-    let mut c = Collector {
-        pending: VecDeque::new(),
-        served: Served::new(questions.len(), t0, window),
-    };
-    c.served.attempted = n as u64;
-    let (tx, rx) = mpsc::channel::<Pending>();
-    let (lateness_ms, refused) = std::thread::scope(|s| {
-        let generator = s.spawn(move || {
-            let mut lateness_ms = Vec::with_capacity(n);
-            let mut refused = 0u64;
-            for (i, offset) in due.iter().enumerate() {
-                let due_at = t0 + *offset;
-                let now = Instant::now();
-                if due_at > now {
-                    std::thread::sleep(due_at - now);
-                }
-                lateness_ms.push(
-                    Instant::now()
-                        .saturating_duration_since(due_at)
-                        .as_secs_f64()
-                        * 1e3,
-                );
-                let q = order[i];
-                match submit(engine, &questions[q], i as u64 + 1) {
-                    Some(reply) => tx
-                        .send(Pending {
-                            q,
-                            start: due_at,
-                            rx: reply,
-                        })
-                        .expect("collector alive"),
-                    None => refused += 1,
-                }
-            }
-            (lateness_ms, refused)
-        });
-        let mut generating = true;
-        loop {
-            if c.pending.is_empty() {
-                if !generating {
-                    break;
-                }
-                match rx.recv() {
-                    Ok(p) => c.pending.push_back(p),
-                    Err(_) => {
-                        generating = false;
-                        continue;
-                    }
-                }
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(p) => c.pending.push_back(p),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        generating = false;
-                        break;
-                    }
-                }
-            }
-            c.poll();
-        }
-        generator.join().expect("generator thread")
-    });
-    c.served.finish();
-    c.served.failed += refused;
-    c.served.lateness_ms = lateness_ms;
     c.served
 }

@@ -1,4 +1,4 @@
-//! Process and host readings: CPU time, peak resident set, hypervisor
+//! Process and host readings: CPU time, resident set, hypervisor
 //! steal, and the build/host facts printed beside every run's metrics.
 
 use std::fs;
@@ -14,11 +14,21 @@ extern "C" {
 }
 
 const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
 
 /// User + system CPU seconds of this process (all threads, live and
 /// exited), at nanosecond resolution — `/proc/self/stat` counts in 10 ms
-/// ticks, too coarse for a one-second window.
+/// ticks, too coarse for a window.
 pub fn process_cpu_s() -> f64 {
+    cpu_clock_s(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// User + system CPU seconds of the calling thread.
+pub fn thread_cpu_s() -> f64 {
+    cpu_clock_s(CLOCK_THREAD_CPUTIME_ID)
+}
+
+fn cpu_clock_s(clock: i32) -> f64 {
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
@@ -26,20 +36,20 @@ pub fn process_cpu_s() -> f64 {
     // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit fields
     // on 64-bit Linux) for the whole call, and clock_gettime writes nothing
     // else.
-    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
-/// Peak resident set of this process in MiB (`VmHWM`).
-pub fn peak_rss_mb() -> f64 {
+/// A memory field of `/proc/self/status` (`VmRSS`, `VmHWM`, …) in MiB.
+pub fn status_mb(field: &str) -> f64 {
     let status = fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
     let kb = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
         .and_then(|v| v.split_whitespace().next())
         .and_then(|v| v.parse::<u64>().ok())
-        .expect("VmHWM in /proc/self/status");
+        .unwrap_or_else(|| panic!("{field} in /proc/self/status"));
     kb as f64 / 1024.0
 }
 

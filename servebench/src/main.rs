@@ -3,13 +3,13 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path servebench/Cargo.toml -- \
-//!     --workload <batched_beam|data_bound|sparse_arrivals> --seed <n> --seconds <s> --trace <0|1>
+//!     --workload <batched_beam|data_bound> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! One run generates a corpus and trains a model (from fixed seeds), starts
 //! `valuenet_serve::Engine` in-process, drives the workload for `--seconds`
-//! over whole passes of the dev question list in orders (and, for the open
-//! loop, at arrival times) drawn from `--seed`, and checks every answer.
+//! over whole passes of the dev question list in orders drawn from
+//! `--seed`, and checks every answer.
 //! With `--trace 0` the last line of standard output is the end-to-end
 //! result; with `--trace 1` it carries the per-layer metrics of a traced
 //! replay instead. See `README.md` beside this file.
@@ -19,7 +19,7 @@ mod drive;
 mod host;
 mod layers;
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use valuenet_core::{train, ModelConfig, Pipeline, Prediction, TrainConfig, ValueMode};
 use valuenet_dataset::{generate, Corpus, CorpusConfig};
@@ -27,7 +27,7 @@ use valuenet_obs::json::Json;
 use valuenet_serve::{Engine, ServeConfig};
 use valuenet_storage::Database;
 
-use drive::{closed_loop, median, open_loop, percentile, quietest_quarter, Rng, Served};
+use drive::{closed_loop, figures, median, percentile, Rng, Served};
 
 /// One question of the workload's list.
 pub struct Question {
@@ -56,14 +56,6 @@ const SETUPS: usize = 3;
 enum Workload {
     BatchedBeam,
     DataBound,
-    SparseArrivals,
-}
-
-enum Load {
-    /// One submitter keeps this many requests outstanding.
-    Closed { outstanding: usize },
-    /// Seeded Poisson arrivals at this many requests per second.
-    Open { rate: f64 },
 }
 
 /// The make-up of a workload's inputs, model and engine.
@@ -75,12 +67,11 @@ struct MakeUp {
     beam_width: usize,
     batch_window_us: u64,
     batch_max: usize,
-    load: Load,
-    /// Requests outstanding during the (untimed) warm-up pass.
-    warm_outstanding: usize,
-    /// Passes over the question list per measurement window (about a
-    /// second's worth of answers).
-    window_passes: usize,
+    /// Requests the submitter keeps outstanding.
+    outstanding: usize,
+    /// How long the submitter blocks on the oldest outstanding reply before
+    /// it looks at the others (see the README's "Collecting replies").
+    wait: Duration,
     /// Leave statements with nested `SELECT`s out of the reference
     /// interpreter checks (too slow on large tables).
     skip_subqueries: bool,
@@ -91,7 +82,6 @@ impl Workload {
         match s {
             "batched_beam" => Some(Workload::BatchedBeam),
             "data_bound" => Some(Workload::DataBound),
-            "sparse_arrivals" => Some(Workload::SparseArrivals),
             _ => None,
         }
     }
@@ -100,7 +90,6 @@ impl Workload {
         match self {
             Workload::BatchedBeam => "batched_beam",
             Workload::DataBound => "data_bound",
-            Workload::SparseArrivals => "sparse_arrivals",
         }
     }
 
@@ -113,9 +102,9 @@ impl Workload {
             beam_width: 4,
             batch_window_us: 2_000,
             batch_max: 8,
-            load: Load::Closed { outstanding: 8 },
-            warm_outstanding: 8,
-            window_passes: 11,
+            outstanding: 8,
+            // The batched engine answers in submission order.
+            wait: Duration::from_millis(50),
             skip_subqueries: false,
         };
         match self {
@@ -125,15 +114,10 @@ impl Workload {
                 dev_size: 64,
                 beam_width: 1,
                 batch_window_us: 0,
-                load: Load::Closed { outstanding: cores },
-                warm_outstanding: cores,
-                window_passes: 3,
+                outstanding: cores,
+                // Short queries overtake long ones on the other worker.
+                wait: Duration::from_micros(200),
                 skip_subqueries: true,
-                ..small
-            },
-            Workload::SparseArrivals => MakeUp {
-                load: Load::Open { rate: 100.0 },
-                window_passes: 1,
                 ..small
             },
         }
@@ -222,66 +206,74 @@ fn questions(corpus: &Corpus) -> Vec<Question> {
         .collect()
 }
 
-/// Seconds spent in each part of one set-up.
+/// Wall and CPU seconds of one part of a set-up.
+#[derive(Clone, Copy, Default)]
+struct Cost {
+    wall_s: f64,
+    cpu_s: f64,
+}
+
+impl Cost {
+    fn of<T>(work: impl FnOnce() -> T) -> (T, Cost) {
+        let (t, cpu) = (Instant::now(), host::process_cpu_s());
+        let out = work();
+        let cost = Cost {
+            wall_s: t.elapsed().as_secs_f64(),
+            cpu_s: host::process_cpu_s() - cpu,
+        };
+        (out, cost)
+    }
+}
+
+/// What each part of one set-up cost.
 #[derive(Clone, Copy)]
 struct SetupTimes {
-    corpus_s: f64,
-    train_s: f64,
+    corpus: Cost,
+    train: Cost,
     /// Engine start plus the warm-up pass.
-    engine_s: f64,
+    engine: Cost,
 }
 
 impl SetupTimes {
-    fn total(&self) -> f64 {
-        self.corpus_s + self.train_s + self.engine_s
+    fn cpu_s(&self) -> f64 {
+        self.corpus.cpu_s + self.train.cpu_s + self.engine.cpu_s
+    }
+
+    fn wall_s(&self) -> f64 {
+        self.corpus.wall_s + self.train.wall_s + self.engine.wall_s
     }
 }
 
-/// What the checks compare the served answers with, captured (untimed)
-/// from the first set-up's pipeline before it moves into its engine.
-struct Reference {
-    /// Each question translated alone by `Pipeline::try_translate`.
-    solo: Vec<Prediction>,
-    /// The corpus databases, rebuilt from their specs.
-    databases: Vec<Database>,
-    /// The traced replay (trace runs only).
-    traced: Option<layers::Traced>,
+/// The corpus databases, rebuilt from their specs (the engine owns the
+/// set-up's own copy).
+fn reference_databases(corpus: &Corpus) -> Vec<Database> {
+    corpus
+        .specs
+        .iter()
+        .map(|s| Database::with_rows(s.schema.clone(), s.rows.clone()))
+        .collect()
 }
 
-impl Reference {
-    fn capture(
-        pipeline: &Pipeline,
-        corpus: &Corpus,
-        qs: &[Question],
-        trace_out: Option<&str>,
-    ) -> Reference {
-        let databases: Vec<Database> = corpus
-            .specs
+/// Each question translated alone by `Pipeline::try_translate`: what the
+/// served answers must equal.
+fn solo_translations(
+    pipeline: &Pipeline,
+    databases: &[Database],
+    qs: &[Question],
+) -> Vec<Prediction> {
+    let by_name = |name: &str| {
+        databases
             .iter()
-            .map(|s| Database::with_rows(s.schema.clone(), s.rows.clone()))
-            .collect();
-        let by_name = |name: &str| {
-            databases
-                .iter()
-                .find(|d| d.schema().db_id == name)
-                .expect("question's database exists")
-        };
-        let solo: Vec<Prediction> = qs
-            .iter()
-            .map(|q| {
-                pipeline
-                    .try_translate(by_name(&q.db), &q.text, None)
-                    .expect("full-mode translation without a stage guard cannot fail")
-            })
-            .collect();
-        let traced =
-            trace_out.map(|out| layers::traced_replay(qs, &solo, pipeline, &databases, out));
-        Reference {
-            solo,
-            databases,
-            traced,
-        }
-    }
+            .find(|d| d.schema().db_id == name)
+            .expect("question's database exists")
+    };
+    qs.iter()
+        .map(|q| {
+            pipeline
+                .try_translate(by_name(&q.db), &q.text, None)
+                .expect("full-mode translation without a stage guard cannot fail")
+        })
+        .collect()
 }
 
 fn start_engine(m: &MakeUp, cores: usize, pipeline: Pipeline, databases: Vec<Database>) -> Engine {
@@ -304,7 +296,7 @@ fn main() {
         Err(e) => {
             eprintln!("servebench: {e}");
             eprintln!(
-                "usage: servebench --workload <batched_beam|data_bound|sparse_arrivals> \
+                "usage: servebench --workload <batched_beam|data_bound> \
                  --seed <n> --seconds <s> --trace <0|1>"
             );
             std::process::exit(2);
@@ -324,83 +316,86 @@ fn main() {
 
     // Set up SETUPS times (identical work); serve on the last. Everything
     // before the first timed request counts: corpus generation, training,
-    // engine start and one warm-up pass over the question list.
+    // engine start and one warm-up pass over the question list. The solo
+    // translations (and the traced replay) are taken, untimed, from the
+    // first set-up's pipeline before it moves into its engine.
     let mut times: Vec<SetupTimes> = Vec::with_capacity(SETUPS);
-    let mut reference = None;
+    let mut solo = None;
+    let mut traced = None;
     let mut serving = None;
     for _ in 0..SETUPS {
         drop(serving.take());
-        let t = Instant::now();
-        let corpus = corpus(&m);
-        let corpus_s = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let pipeline = train_pipeline(&m, &corpus, cores);
-        let train_s = t.elapsed().as_secs_f64();
+        let (corpus, corpus_cost) = Cost::of(|| corpus(&m));
+        let (pipeline, train_cost) = Cost::of(|| train_pipeline(&m, &corpus, cores));
         let qs = questions(&corpus);
-        if reference.is_none() {
-            reference = Some(Reference::capture(
-                &pipeline,
-                &corpus,
-                &qs,
-                trace_out.as_deref(),
-            ));
+        if solo.is_none() {
+            let databases = reference_databases(&corpus);
+            let translations = solo_translations(&pipeline, &databases, &qs);
+            traced = trace_out
+                .as_deref()
+                .map(|out| layers::traced_replay(&qs, &translations, &pipeline, &databases, out));
+            solo = Some(translations);
         }
-        let t = Instant::now();
-        let engine = start_engine(&m, cores, pipeline, corpus.databases);
-        closed_loop(&engine, &qs, &mut rng, m.warm_outstanding, 0.0, 1, qs.len());
+        let (engine, engine_cost) = Cost::of(|| {
+            let engine = start_engine(&m, cores, pipeline, corpus.databases);
+            closed_loop(
+                &engine,
+                &qs,
+                &mut rng,
+                m.outstanding,
+                m.wait,
+                0.0,
+                1,
+                qs.len(),
+            );
+            engine
+        });
         times.push(SetupTimes {
-            corpus_s,
-            train_s,
-            engine_s: t.elapsed().as_secs_f64(),
+            corpus: corpus_cost,
+            train: train_cost,
+            engine: engine_cost,
         });
         serving = Some((engine, qs));
     }
     let (engine, qs) = serving.expect("at least one set-up");
-    let reference = reference.expect("captured in the first set-up");
+    let solo = solo.expect("taken in the first set-up");
     assert_eq!(qs.len(), m.dev_size, "corpus has the configured dev size");
 
-    // Timed phase.
-    let window = m.window_passes * qs.len();
+    // Timed phase, in windows of one pass over the question list.
+    let hwm_before_mb = host::status_mb("VmHWM");
     let (batches0, members0) = (engine.stats().batches(), engine.stats().batch_members());
-    let served: Served = match m.load {
-        Load::Closed { outstanding } => closed_loop(
-            &engine,
-            &qs,
-            &mut rng,
-            outstanding,
-            args.seconds,
-            usize::MAX,
-            window,
-        ),
-        Load::Open { rate } => {
-            let passes = ((rate * args.seconds) / qs.len() as f64).ceil().max(1.0) as usize;
-            open_loop(&engine, &qs, &mut rng, rate, passes, window)
-        }
-    };
-    let peak_rss_mb = host::peak_rss_mb();
+    let driver_cpu0 = host::thread_cpu_s();
+    let served: Served = closed_loop(
+        &engine,
+        &qs,
+        &mut rng,
+        m.outstanding,
+        m.wait,
+        args.seconds,
+        usize::MAX,
+        qs.len(),
+    );
+    let driver_cpu_s = host::thread_cpu_s() - driver_cpu0;
+    let hwm_after_mb = host::status_mb("VmHWM");
     let batches = engine.stats().batches() - batches0;
     let members = engine.stats().batch_members() - members0;
     drop(engine); // stops and joins every worker
 
-    let t = Instant::now();
-    let report = checks::check(
-        &qs,
-        &served.first,
-        &reference.solo,
-        &reference.databases,
-        m.skip_subqueries,
-        cores,
-    );
-    let check_s = t.elapsed().as_secs_f64();
+    let (report, check_cost) = Cost::of(|| {
+        checks::check(
+            &qs,
+            &served.first,
+            &solo,
+            &reference_databases(&corpus(&m)),
+            m.skip_subqueries,
+            cores,
+        )
+    });
 
     let completed = served.completed();
-    let mut lateness = served.lateness_ms.clone();
-    lateness.sort_by(f64::total_cmp);
-    let windows = served.windows(1);
-    // Chunks of whole windows holding at least 1,000 answers, so that ten or
-    // more lie beyond each chunk's 99th percentile.
-    let chunks = served.windows(1_000usize.div_ceil(window));
-    let quiet = quietest_quarter(&windows);
+    let windows = served.windows();
+    let unstolen = figures(&windows, true);
+    let wall = figures(&windows, false);
     let mut steal: Vec<f64> = windows.iter().map(|w| w.steal).collect();
     steal.sort_by(f64::total_cmp);
     let mean_batch = if batches > 0 {
@@ -408,7 +403,6 @@ fn main() {
     } else {
         1.0
     };
-
     let mut correct = report.passed() && served.repeat_mismatches == 0 && completed > 0;
     let mut context = vec![
         ("workload", Json::Str(args.workload.name().into())),
@@ -423,7 +417,6 @@ fn main() {
         ("failed", Json::Int(served.failed as i64)),
         ("span_s", Json::Num(served.span_s)),
         ("windows", Json::Int(windows.len() as i64)),
-        ("p99_chunks", Json::Int(chunks.len() as i64)),
         ("steal_share", Json::Num(served.steal_share)),
         (
             "window_steal_min_median_max",
@@ -433,25 +426,27 @@ fn main() {
                 Json::Num(steal.last().copied().unwrap_or(0.0)),
             ]),
         ),
-        ("pooled_qps", Json::Num(completed as f64 / served.span_s)),
-        (
-            "pooled_cpu_ms_per_req",
-            Json::Num(served.cpu_s * 1e3 / completed.max(1) as f64),
-        ),
-        (
-            "generator_late_p50_ms",
-            Json::Num(percentile(&lateness, 0.50)),
-        ),
-        (
-            "generator_late_p99_ms",
-            Json::Num(percentile(&lateness, 0.99)),
-        ),
+        ("wall_qps", Json::Num(wall.qps)),
+        ("wall_p50_ms", Json::Num(wall.p50_ms)),
+        ("wall_p99_ms", Json::Num(wall.p99_ms)),
+        ("unstolen_p99_ms", Json::Num(unstolen.p99_ms)),
+        ("vm_hwm_before_timed_mb", Json::Num(hwm_before_mb)),
+        ("vm_hwm_after_timed_mb", Json::Num(hwm_after_mb)),
         ("mean_batch", Json::Num(mean_batch)),
+        ("overtaken", Json::Int(served.overtaken as i64)),
         (
-            "setups_s",
-            Json::Arr(times.iter().map(|t| Json::Num(t.total())).collect()),
+            "driver_cpu_ms_per_req",
+            Json::Num(driver_cpu_s * 1e3 / completed.max(1) as f64),
         ),
-        ("check_s", Json::Num(check_s)),
+        (
+            "setups_cpu_s",
+            Json::Arr(times.iter().map(|t| Json::Num(t.cpu_s())).collect()),
+        ),
+        (
+            "setups_wall_s",
+            Json::Arr(times.iter().map(|t| Json::Num(t.wall_s())).collect()),
+        ),
+        ("check_s", Json::Num(check_cost.wall_s)),
         ("answered", Json::Int(report.answered as i64)),
         ("solo_mismatches", Json::Int(report.solo_mismatches as i64)),
         (
@@ -467,7 +462,7 @@ fn main() {
         ("gold_checked", Json::Int(report.gold_checked as i64)),
         ("gold_errors", Json::Int(report.gold_errors as i64)),
     ];
-    let metrics = if let Some(traced) = reference.traced {
+    let metrics = if let Some(traced) = traced {
         correct &= traced.replay_mismatches == 0 && traced.stream_ok;
         let ledger = traced
             .metrics
@@ -487,52 +482,28 @@ fn main() {
         ]);
         let mut queue_wait = served.queue_wait_ms.clone();
         queue_wait.sort_by(f64::total_cmp);
-        let setup_median = |part: fn(&SetupTimes) -> f64| median(times.iter().map(part).collect());
+        let setup_median =
+            |part: fn(&SetupTimes) -> Cost| median(times.iter().map(|t| part(t).cpu_s).collect());
         let mut metrics = vec![
-            Metric::new("setup.corpus_s", "s", setup_median(|t| t.corpus_s)),
-            Metric::new("setup.train_s", "s", setup_median(|t| t.train_s)),
-            Metric::new("setup.engine_s", "s", setup_median(|t| t.engine_s)),
+            Metric::new("setup.corpus_s", "s", setup_median(|t| t.corpus)),
+            Metric::new("setup.train_s", "s", setup_median(|t| t.train)),
+            Metric::new("setup.engine_s", "s", setup_median(|t| t.engine)),
             Metric::new("serve.queue_wait_ms", "ms", percentile(&queue_wait, 0.5)),
             Metric::new("serve.batch_size", "members", mean_batch),
         ];
         metrics.extend(traced.metrics);
         metrics
     } else {
-        // Window figures: median over the quietest quarter of the windows,
-        // except open-loop throughput, which is the answers over the timed
-        // span (the offered rate unless the engine falls behind). Tail: the
-        // 99th percentile of each chunk, median over the quietest quarter of
-        // the chunks (pooled when the run holds less than a chunk).
-        let qps = match m.load {
-            Load::Closed { .. } => median(quiet.iter().map(|w| w.rate).collect()),
-            Load::Open { .. } => completed as f64 / served.span_s,
-        };
-        let p99 = if chunks.is_empty() {
-            let mut lat = served.latencies_ms.clone();
-            lat.sort_by(f64::total_cmp);
-            percentile(&lat, 0.99)
-        } else {
-            median(quietest_quarter(&chunks).iter().map(|c| c.p99_ms).collect())
-        };
         vec![
             Metric::new(
                 "setup_s",
                 "s",
-                median(times.iter().map(SetupTimes::total).collect()),
+                median(times.iter().map(SetupTimes::cpu_s).collect()),
             ),
-            Metric::new("qps", "req/s", qps),
-            Metric::new(
-                "latency_p50_ms",
-                "ms",
-                median(quiet.iter().map(|w| w.p50_ms).collect()),
-            ),
-            Metric::new("latency_p99_ms", "ms", p99),
-            Metric::new(
-                "cpu_ms_per_req",
-                "ms",
-                median(quiet.iter().map(|w| w.cpu_ms_per_req).collect()),
-            ),
-            Metric::new("peak_rss_mb", "MiB", peak_rss_mb),
+            Metric::new("qps", "req/s", unstolen.qps),
+            Metric::new("latency_p50_ms", "ms", unstolen.p50_ms),
+            Metric::new("cpu_ms_per_req", "ms", unstolen.cpu_ms_per_req),
+            Metric::new("peak_rss_mb", "MiB", served.peak_rss_mb()),
             Metric::new("exec_correct", "questions", report.exec_correct as f64),
         ]
     };
